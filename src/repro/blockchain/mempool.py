@@ -130,7 +130,16 @@ class Mempool:
         """
         blocks = getattr(included, "blocks", None)
         if blocks is not None:
-            ids = {tx.tx_id for block in blocks for tx in block.transactions}
+            # An id covers its transaction's kind, so chain transactions of a
+            # kind the pool does not hold cannot match and are not hashed
+            # (FAIR-BFL keeps gradient uploads off-chain: none ever match).
+            kinds = {tx.tx_type for tx in self._queue}
+            ids = {
+                tx.tx_id
+                for block in blocks
+                for tx in block.transactions
+                if tx.tx_type in kinds
+            }
         else:
             ids = {str(tx_id) for tx_id in included}
         return self._evict(lambda tx: tx.tx_id in ids)

@@ -82,25 +82,66 @@ class Transaction:
     payload: object | None = None
     signature: int | None = None
 
+    #: ``(signed fields, signing bytes, tx_id)`` of the last encoding; not a
+    #: dataclass field, so equality, ``repr`` and ``fields()`` ignore it.
+    _encoded = None
+
+    def _signed_fields(self) -> tuple:
+        """Every value the canonical form is built from, normalised the same way.
+
+        Metadata values enter through ``repr`` so that ``1``, ``1.0`` and
+        ``True`` (equal, but signed differently) never share an encoding;
+        ``sender`` and ``payload_digest`` carry their types for the same
+        reason.
+        """
+        metadata = self.metadata
+        return (
+            self.tx_type,
+            self.sender,
+            type(self.sender),
+            int(self.round_index),
+            self.payload_digest,
+            type(self.payload_digest),
+            int(self.payload_size_bytes),
+            tuple(metadata),
+            tuple(map(repr, metadata.values())),
+        )
+
     @property
     def tx_id(self) -> str:
         """Deterministic transaction identifier (hash of the canonical form)."""
-        return hashlib.sha256(self.signing_bytes()).hexdigest()
+        encoded = self._encoded
+        if encoded is None or encoded[0] != self._signed_fields():
+            self.signing_bytes()
+            encoded = self._encoded
+        return encoded[2]
 
     def signing_bytes(self) -> bytes:
-        """Canonical byte string covered by the signature."""
-        canonical = json.dumps(
-            {
-                "type": self.tx_type.value,
-                "sender": self.sender,
-                "round": int(self.round_index),
-                "digest": self.payload_digest,
-                "size": int(self.payload_size_bytes),
-                "metadata": {k: repr(v) for k, v in sorted(self.metadata.items())},
-            },
-            sort_keys=True,
-        )
-        return canonical.encode("utf-8")
+        """Canonical byte string covered by the signature.
+
+        The bytes and the id are cached together and rebuilt whenever a signed
+        field differs from what they were built from (an edit in place
+        included), so gossip and eviction, which take the id of every
+        transaction on a chain many times over, encode each transaction once.
+        """
+        fields = self._signed_fields()
+        encoded = self._encoded
+        if encoded is None or encoded[0] != fields:
+            tx_type, sender, _, round_index, digest, _, size, keys, reprs = fields
+            canonical = json.dumps(
+                {
+                    "type": tx_type.value,
+                    "sender": sender,
+                    "round": round_index,
+                    "digest": digest,
+                    "size": size,
+                    "metadata": dict(zip(keys, reprs)),
+                },
+                sort_keys=True,
+            ).encode("utf-8")
+            encoded = (fields, canonical, hashlib.sha256(canonical).hexdigest())
+            self._encoded = encoded
+        return encoded[1]
 
     def sign(self, keystore: KeyStore) -> "Transaction":
         """Sign in place with the sender's private key and return ``self``."""

@@ -88,11 +88,12 @@ def generate_prime(bits: int, rng: np.random.Generator) -> int:
         raise ValueError(f"bits must be >= 8 for prime generation, got {bits}")
     while True:
         # Draw a random odd integer with the top bit set so the product of two
-        # such primes has the expected modulus size.
+        # such primes has the expected modulus size.  The draw is read most
+        # significant bit first; packbits pads the last byte with zeros on the
+        # right, which the shift drops again.
         raw = rng.integers(0, 2, size=bits, dtype=np.int64)
-        candidate = 0
-        for bit in raw:
-            candidate = (candidate << 1) | int(bit)
+        candidate = int.from_bytes(np.packbits(raw).tobytes(), "big")
+        candidate >>= -bits % 8
         candidate |= (1 << (bits - 1)) | 1
         if is_probable_prime(candidate, rng=rng):
             return candidate

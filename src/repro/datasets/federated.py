@@ -143,6 +143,10 @@ class FederatedDataset:
                 f"client_val_fraction must lie in (0, 1), got {client_val_fraction}"
             )
         train, test = train_test_split(dataset, rng, test_fraction=test_fraction)
+        # Each shard keeps at least one sample for validation, so a client
+        # needs two to have anything to train on.  The Dirichlet scheme takes
+        # its first draw that meets the minimum, so a draw in which every
+        # client already had two samples is unchanged by asking for them.
         partitions = partition_dataset(
             train,
             num_clients,
@@ -150,6 +154,7 @@ class FederatedDataset:
             scheme=scheme,
             shards_per_client=shards_per_client,
             alpha=alpha,
+            min_samples_per_client=2,
         )
         clients: list[ClientDataset] = []
         for cid, idx in enumerate(partitions):

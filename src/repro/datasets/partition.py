@@ -137,6 +137,7 @@ def partition_dataset(
     scheme: str = "shard",
     shards_per_client: int = 2,
     alpha: float = 0.5,
+    min_samples_per_client: int = 1,
 ) -> list[np.ndarray]:
     """Partition ``dataset`` by the named scheme and return per-client index arrays.
 
@@ -145,6 +146,9 @@ def partition_dataset(
     scheme:
         ``"iid"``, ``"shard"`` (default, the paper's non-IID setting), or
         ``"dirichlet"``.
+    min_samples_per_client:
+        Smallest shard the ``"dirichlet"`` scheme accepts (it re-draws until
+        every client has this many); the other schemes split evenly.
     """
     key = scheme.strip().lower()
     if key == "iid":
@@ -154,7 +158,13 @@ def partition_dataset(
             dataset.labels, num_clients, rng, shards_per_client=shards_per_client
         )
     if key == "dirichlet":
-        return dirichlet_partition(dataset.labels, num_clients, rng, alpha=alpha)
+        return dirichlet_partition(
+            dataset.labels,
+            num_clients,
+            rng,
+            alpha=alpha,
+            min_samples_per_client=min_samples_per_client,
+        )
     raise ValueError(
         f"unknown partition scheme {scheme!r}; expected 'iid', 'shard', or 'dirichlet'"
     )

@@ -36,6 +36,32 @@ def _gradient_tx(sender="client-0", round_index=0, size=8, keystore=None, seed=0
     return make_gradient_transaction(sender, round_index, vec, keystore=keystore)
 
 
+def _indexed_gradient_tx(keystore):
+    vec = new_rng(0, "tx", "client-0", 0).normal(size=8)
+    return make_gradient_transaction("client-0", 0, vec, keystore=keystore, client_index=1)
+
+
+def _edit_metadata(tx, key, value):
+    tx.metadata[key] = value
+
+
+#: One edit per signed field, each applied to a signed transaction whose
+#: metadata is ``{"client_index": 1}``.  ``1.0`` and ``True`` compare equal
+#: to ``1`` but sign differently.
+_TAMPERS = {
+    "tx_type": lambda tx: setattr(tx, "tx_type", TransactionType.REWARD),
+    "sender": lambda tx: setattr(tx, "sender", "client-1"),
+    "round_index": lambda tx: setattr(tx, "round_index", 99),
+    "payload_digest": lambda tx: setattr(tx, "payload_digest", "0" * 64),
+    "payload_size_bytes": lambda tx: setattr(tx, "payload_size_bytes", 65),
+    "metadata_replaced": lambda tx: setattr(tx, "metadata", {"client_index": 2}),
+    "metadata_edited_in_place": lambda tx: _edit_metadata(tx, "client_index", 2),
+    "metadata_key_added": lambda tx: _edit_metadata(tx, "label", "high"),
+    "metadata_int_to_float": lambda tx: _edit_metadata(tx, "client_index", 1.0),
+    "metadata_int_to_bool": lambda tx: _edit_metadata(tx, "client_index", True),
+}
+
+
 class TestTransactions:
     def test_gradient_transaction_fields(self, keystore):
         tx = _gradient_tx(keystore=keystore)
@@ -52,10 +78,21 @@ class TestTransactions:
         tx = _gradient_tx(keystore=None)
         assert not tx.verify(keystore)
 
-    def test_tampering_breaks_verification(self, keystore):
-        tx = _gradient_tx(keystore=keystore)
-        tx.round_index = 99
+    @pytest.mark.parametrize("tamper", sorted(_TAMPERS), ids=sorted(_TAMPERS))
+    def test_tampering_breaks_verification(self, keystore, tamper):
+        tx = _indexed_gradient_tx(keystore)
+        before = tx.tx_id  # warm the cached id before the edit
+        assert tx.verify(keystore)
+        _TAMPERS[tamper](tx)
+        assert tx.tx_id != before
         assert not tx.verify(keystore)
+
+    def test_signature_and_payload_are_not_signed_fields(self, keystore):
+        tx = _indexed_gradient_tx(keystore)
+        before = tx.tx_id
+        tx.payload = np.zeros(8)
+        tx.signature = None
+        assert tx.tx_id == before
 
     def test_tx_id_changes_with_content(self, keystore):
         a = _gradient_tx(round_index=0, keystore=keystore)
@@ -296,6 +333,21 @@ class TestBlockchain:
         assert chain.is_valid()
         # Tamper with a recorded global update: the Merkle root no longer matches.
         chain.blocks[2].transactions[0] = make_global_update_transaction("m", 1, np.full(4, 99.0))
+        assert not chain.is_valid()
+
+    @pytest.mark.parametrize("tamper", sorted(_TAMPERS), ids=sorted(_TAMPERS))
+    def test_tampering_with_a_hashed_transaction_invalidates_the_chain(self, keystore, tamper):
+        chain = self._chain_with_genesis()
+        tx = _indexed_gradient_tx(keystore)
+        # Block.create hashes the transaction, so its cached id is warm.
+        chain.add_block(
+            Block.create(
+                index=1, previous_hash=chain.last_block.block_hash,
+                round_index=0, miner_id="m", transactions=[tx],
+            )
+        )
+        assert chain.is_valid()
+        _TAMPERS[tamper](tx)
         assert not chain.is_valid()
 
     def test_latest_global_update(self):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +54,29 @@ class TestPrimes:
     def test_generate_prime_is_odd(self):
         p = generate_prime(32, new_rng(1, "prime"))
         assert p % 2 == 1
+
+    @pytest.mark.parametrize("bits", [8, 9, 13, 64, 127, 128, 129])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_generate_prime_matches_bit_loop_reference(self, bits, seed):
+        # Same prime and same generator state afterwards, so every later
+        # draw (the next prime, the next key) is unchanged too.
+        fast_rng = new_rng(seed, "prime", bits)
+        ref_rng = new_rng(seed, "prime", bits)
+        for _ in range(3):
+            assert generate_prime(bits, fast_rng) == _reference_generate_prime(bits, ref_rng)
+        assert fast_rng.bytes(8) == ref_rng.bytes(8)
+
+
+def _reference_generate_prime(bits: int, rng: np.random.Generator) -> int:
+    """The original candidate construction: one Python step per random bit."""
+    while True:
+        raw = rng.integers(0, 2, size=bits, dtype=np.int64)
+        candidate = 0
+        for bit in raw:
+            candidate = (candidate << 1) | int(bit)
+        candidate |= (1 << (bits - 1)) | 1
+        if is_probable_prime(candidate, rng=rng):
+            return candidate
 
 
 class TestRSA:
@@ -196,6 +222,21 @@ class TestKeyStore:
         assert not store.has("a")
         store.register("a")
         assert store.has("a")
+
+    def test_default_keys_are_pinned(self):
+        # SHA-256 over (n, e, d) of the first ten clients' 256-bit keys, as
+        # recorded before key generation was vectorised: keys are a pure
+        # function of (seed, "rsa-key", id) and must never move.
+        store = KeyStore(seed=0)
+        digest = hashlib.sha256()
+        for i in range(10):
+            key = store.register(f"client-{i}")
+            digest.update(
+                f"{key.modulus},{key.public_exponent},{key.private_exponent};".encode()
+            )
+        assert digest.hexdigest() == (
+            "3e3676267ed1b4fcdb6e08802f6806407bc9afb13242475c4dd17830ec20ce91"
+        )
 
 
 @given(st.binary(min_size=0, max_size=200))

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.experiment import build_federated_dataset
 from repro.datasets.federated import (
     ClientDataset,
     FederatedDataset,
@@ -206,6 +209,34 @@ class TestFederatedDataset:
     def test_empty_shard_rejected(self):
         with pytest.raises(ValueError):
             ClientDataset(0, np.zeros((0, 4)), np.zeros(0), np.zeros((1, 4)), np.zeros(1))
+
+    def test_default_dirichlet_population_builds_for_every_seed(self):
+        # The scenario defaults: 100 clients, 1500 samples, Dirichlet split.
+        # A one-sample client used to leave an empty training shard.
+        for seed in range(30):
+            fed = build_federated_dataset(
+                num_clients=100, num_samples=1500, scheme="dirichlet", seed=seed
+            )
+            assert min(fed.partition_sizes) >= 1
+
+    @pytest.mark.parametrize(
+        "seed, expected",
+        [
+            (0, "851f5b705042a6ca10f0b7d3fc5e1d82837bf7ef96dedcb6d624fc80c4ecc059"),
+            (1, "0878816e47b50dc2f2b4ddb567958c7562f8bf5df05a2ad4664b3d4fc9e3e26a"),
+        ],
+    )
+    def test_default_dirichlet_partition_is_pinned(self, seed, expected):
+        # Recorded while the minimum was one sample per client: seeds that
+        # built then must keep their exact shards.
+        fed = build_federated_dataset(
+            num_clients=100, num_samples=1500, scheme="dirichlet", seed=seed
+        )
+        digest = hashlib.sha256()
+        for shard in fed.clients:
+            for array in (shard.images, shard.labels, shard.val_images, shard.val_labels):
+                digest.update(np.ascontiguousarray(array).tobytes())
+        assert digest.hexdigest() == expected
 
     def test_requires_clients(self):
         with pytest.raises(ValueError):

@@ -106,6 +106,26 @@ class TestDocsFreshness:
         missing = [f for f in ScenarioSpec.field_names() if f"`{f}`" not in doc]
         assert not missing, f"docs/scenarios.md missing fields: {missing}"
 
+    def test_benchmark_workloads_are_documented(self, tmp_path, monkeypatch):
+        import importlib.util
+
+        spec = importlib.util.spec_from_file_location(
+            "check_docs", REPO_ROOT / "tools" / "check_docs.py"
+        )
+        check_docs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check_docs)
+        assert check_docs.check_benchmark_workloads() == []
+
+        # A workload the catalogue does not name is reported.
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "BENCHMARK.json").write_text(
+            '{"workloads": [{"name": "bfl-committee"}, {"name": "bfl-giant"}]}'
+        )
+        (tmp_path / "docs" / "benchmarks.md").write_text("Workloads: `bfl-committee`.\n")
+        monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+        problems = check_docs.check_benchmark_workloads()
+        assert len(problems) == 1 and "'bfl-giant'" in problems[0]
+
     def test_readme_benchmark_map_is_fresh(self):
         import re
 

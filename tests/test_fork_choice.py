@@ -15,7 +15,7 @@ import pytest
 from repro.blockchain.block import Block
 from repro.blockchain.chain import Blockchain, BlockValidationError, ForkChoice
 from repro.blockchain.mempool import Mempool
-from repro.blockchain.transaction import make_gradient_transaction
+from repro.blockchain.transaction import make_gradient_transaction, make_reward_transaction
 from repro.net import Node
 
 pytestmark = pytest.mark.net
@@ -202,6 +202,20 @@ class TestMempoolEviction:
         assert pool.evict_included(chain) == 1
         assert pool.pending_count == 1
         assert [tx.tx_id for tx in pool.take_block()] == [pending.tx_id]
+
+    def test_evict_included_matches_each_kind_against_its_own(self):
+        pool = self._pool()
+        settled_reward = make_reward_transaction("m", 0, "client-0", 1.0)
+        pending_reward = make_reward_transaction("m", 0, "client-1", 1.0)
+        settled_upload, pending_upload = _tx(client=0), _tx(client=1)
+        for tx in (settled_upload, pending_upload, settled_reward, pending_reward):
+            pool.submit(tx)
+        chain = _chain(1, transactions_for=lambda r: [settled_reward, settled_upload])
+        assert pool.evict_included(chain) == 2
+        assert [tx.tx_id for tx in pool.take_block()] == [
+            pending_upload.tx_id,
+            pending_reward.tx_id,
+        ]
 
     def test_evict_included_from_id_iterable(self):
         pool = self._pool()

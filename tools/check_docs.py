@@ -38,7 +38,10 @@ Fails (exit code 1) when the documentation has drifted from the code:
     or the ``partition`` / ``churn`` axis names) is missing from
     ``docs/scenarios.md`` or ``docs/threat_model.md`` — the gossip layer's
     scenario axes must stay catalogued in both the field reference and the
-    threat guide.
+    threat guide;
+13. a workload ``name`` declared in ``BENCHMARK.json`` is missing from
+    ``docs/benchmarks.md`` — every workload of the performance benchmark
+    must be described there.
 
 Run from the repository root:
 
@@ -50,6 +53,7 @@ Run from the repository root:
 from __future__ import annotations
 
 import ast
+import json
 import re
 import sys
 from pathlib import Path
@@ -349,6 +353,23 @@ def check_net_axis_coverage() -> list[str]:
     return problems
 
 
+def check_benchmark_workloads() -> list[str]:
+    """Every workload named in BENCHMARK.json must appear in docs/benchmarks.md.
+
+    The workload list is read from the benchmark declaration itself, so a
+    workload cannot be added to the benchmark without saying in the
+    benchmark docs what it runs and why.
+    """
+    declaration = json.loads((REPO_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    doc_path = REPO_ROOT / "docs" / "benchmarks.md"
+    doc = doc_path.read_text(encoding="utf-8") if doc_path.exists() else ""
+    return [
+        f"docs/benchmarks.md does not document BENCHMARK.json workload {w['name']!r}"
+        for w in declaration["workloads"]
+        if not re.search(rf"`{re.escape(w['name'])}`", doc)
+    ]
+
+
 def main() -> int:
     problems = (
         check_module_docstrings()
@@ -363,6 +384,7 @@ def main() -> int:
         + check_cli_subcommand_docs()
         + check_serve_endpoint_docs()
         + check_net_axis_coverage()
+        + check_benchmark_workloads()
     )
     for problem in problems:
         print(f"docs-check: {problem}", file=sys.stderr)
