@@ -14,7 +14,7 @@ from benchmarks.conftest import emit
 from repro.core.results import ComparisonResult
 
 
-def _run(suite):
+def _run(engine, base):
     results = {}
     for label, use_fair, attacks in (
         ("fair_agg/clean", True, False),
@@ -22,20 +22,22 @@ def _run(suite):
         ("fair_agg/attacked", True, True),
         ("simple_avg/attacked", False, True),
     ):
-        hist = suite.run(
-            "fairbfl",
-            name=label,
-            use_fair_aggregation=use_fair,
-            attacks=attacks,
-            attack_name="scaling",
-            strategy="keep",
+        hist = engine.run(
+            base.with_overrides(
+                system="fairbfl",
+                name=label,
+                use_fair_aggregation=use_fair,
+                attacks=attacks,
+                attack_name="scaling",
+                strategy="keep",
+            )
         )
         results[label] = (hist.average_accuracy(), hist.final_accuracy())
     return results
 
 
-def test_ablation_aggregation_rule(benchmark, bench_suite):
-    results = benchmark.pedantic(_run, args=(bench_suite,), rounds=1, iterations=1)
+def test_ablation_aggregation_rule(benchmark, engine, bench_base):
+    results = benchmark.pedantic(_run, args=(engine, bench_base), rounds=1, iterations=1)
 
     table = ComparisonResult(
         title="Ablation -- fair aggregation (Eq. 1) vs simple averaging",
@@ -58,10 +60,22 @@ def test_ablation_aggregation_rule(benchmark, bench_suite):
 
 
 @pytest.mark.smoke
-def test_ablation_aggregation_smoke(smoke_suite):
+def test_ablation_aggregation_smoke(engine, smoke_base):
     """Fast structural pass: both aggregation rules run at toy scale."""
-    fair = smoke_suite.run("fairbfl", name="fair_agg/smoke", use_fair_aggregation=True)
-    simple = smoke_suite.run("fairbfl", name="simple_avg/smoke", use_fair_aggregation=False)
-    assert len(fair) == len(simple) == smoke_suite.num_rounds
+    fair = engine.run(
+        smoke_base.with_overrides(
+            system="fairbfl",
+            name="fair_agg/smoke",
+            use_fair_aggregation=True,
+        )
+    )
+    simple = engine.run(
+        smoke_base.with_overrides(
+            system="fairbfl",
+            name="simple_avg/smoke",
+            use_fair_aggregation=False,
+        )
+    )
+    assert len(fair) == len(simple) == smoke_base.num_rounds
     assert 0.0 <= fair.final_accuracy() <= 1.0
     assert 0.0 <= simple.final_accuracy() <= 1.0

@@ -13,8 +13,9 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.core.config import FairBFLConfig
-from repro.core.experiment import build_federated_dataset, run_fairbfl
+from repro.core.fairbfl import FairBFLTrainer
 from repro.core.results import ComparisonResult
+from repro.datasets.federated import build_federated_dataset
 from repro.fl.client import LocalTrainingConfig
 from repro.incentive.contribution import ContributionConfig
 
@@ -38,7 +39,8 @@ def _run_with(algorithm: str):
         contribution=contribution,
         seed=1,
     )
-    trainer, _ = run_fairbfl(dataset, config=config)
+    with FairBFLTrainer(dataset, config) as trainer:
+        trainer.run()
     logs = trainer.detection_logs()
     detection = trainer.average_detection_rate()
     false_positives = float(np.mean([len(log.false_positives) for log in logs]))
@@ -87,6 +89,7 @@ def test_ablation_clustering_smoke():
         contribution=ContributionConfig(algorithm="dbscan", eps=0.7),
         seed=1,
     )
-    trainer, _ = run_fairbfl(dataset, config=config)
+    with FairBFLTrainer(dataset, config) as trainer:
+        trainer.run()
     assert len(trainer.detection_logs()) == 2
     assert 0.0 <= trainer.average_detection_rate() <= 1.0

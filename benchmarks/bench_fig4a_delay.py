@@ -15,18 +15,20 @@ from benchmarks.conftest import emit
 from repro.core.results import ComparisonResult
 
 
-def _run(suite):
-    # All systems drive through the suite's scenario engine (one wiring path
-    # shared with the CLI's run/compare/sweep subcommands).
-    fair = suite.run("fairbfl")
-    fedavg = suite.run("fedavg")
-    chain = suite.run("blockchain", num_clients=100)
+def _run(engine, base):
+    # All systems drive through the scenario engine (one wiring path shared
+    # with the CLI's run/compare/sweep subcommands).
+    fair = engine.run(base.with_overrides(system="fairbfl", name="fairbfl"))
+    fedavg = engine.run(base.with_overrides(system="fedavg", name="fedavg"))
+    chain = engine.run(
+        base.with_overrides(system="blockchain", name="blockchain", num_clients=100)
+    )
     return fair, fedavg, chain
 
 
-def test_fig4a_delay_comparison(benchmark, bench_suite):
+def test_fig4a_delay_comparison(benchmark, engine, bench_base):
     fair, fedavg, chain = benchmark.pedantic(
-        _run, args=(bench_suite,), rounds=1, iterations=1
+        _run, args=(engine, bench_base), rounds=1, iterations=1
     )
 
     table = ComparisonResult(
@@ -51,8 +53,10 @@ def test_fig4a_delay_comparison(benchmark, bench_suite):
 
 
 @pytest.mark.smoke
-def test_fig4a_delay_smoke(smoke_suite):
+def test_fig4a_delay_smoke(engine, smoke_base):
     """Fast structural pass: FedAvg stays cheaper than the vanilla chain."""
-    fedavg = smoke_suite.run("fedavg")
-    chain = smoke_suite.run("blockchain", num_clients=20)
+    fedavg = engine.run(smoke_base.with_overrides(system="fedavg", name="fedavg"))
+    chain = engine.run(
+        smoke_base.with_overrides(system="blockchain", name="blockchain", num_clients=20)
+    )
     assert 0.0 < fedavg.average_delay() < chain.average_delay()

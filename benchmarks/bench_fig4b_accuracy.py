@@ -15,16 +15,16 @@ from repro.core.convergence import ConvergenceCriterion
 from repro.core.results import ComparisonResult
 
 
-def _run(suite):
-    fair = suite.run("fairbfl")
-    fedavg = suite.run("fedavg")
-    fedprox = suite.run("fedprox", proximal_mu=0.1)
+def _run(engine, base):
+    fair = engine.run(base.with_overrides(system="fairbfl", name="fairbfl"))
+    fedavg = engine.run(base.with_overrides(system="fedavg", name="fedavg"))
+    fedprox = engine.run(base.with_overrides(system="fedprox", name="fedprox", proximal_mu=0.1))
     return fair, fedavg, fedprox
 
 
-def test_fig4b_accuracy_vs_time(benchmark, bench_suite):
+def test_fig4b_accuracy_vs_time(benchmark, engine, bench_base):
     fair, fedavg, fedprox = benchmark.pedantic(
-        _run, args=(bench_suite,), rounds=1, iterations=1
+        _run, args=(engine, bench_base), rounds=1, iterations=1
     )
 
     table = ComparisonResult(
@@ -53,10 +53,10 @@ def test_fig4b_accuracy_vs_time(benchmark, bench_suite):
 
 
 @pytest.mark.smoke
-def test_fig4b_accuracy_smoke(smoke_suite):
+def test_fig4b_accuracy_smoke(engine, smoke_base):
     """Fast structural pass: the accuracy-vs-time series is well-formed."""
-    fair = smoke_suite.run("fairbfl")
+    fair = engine.run(smoke_base.with_overrides(system="fairbfl", name="fairbfl"))
     times, accs = fair.accuracy_vs_time()
-    assert len(times) == len(accs) == smoke_suite.num_rounds
+    assert len(times) == len(accs) == smoke_base.num_rounds
     assert np.all(np.diff(fair.elapsed_times) > 0)
     assert all(0.0 <= a <= 1.0 for a in accs)

@@ -17,17 +17,17 @@ from repro.core.results import ComparisonResult
 LEARNING_RATES = (0.01, 0.05, 0.10, 0.15, 0.20)
 
 
-def _sweep(suite):
+def _sweep(engine, base):
     rows = []
     for lr in LEARNING_RATES:
-        fair = suite.run("fairbfl", learning_rate=lr)
-        fedavg = suite.run("fedavg", learning_rate=lr)
+        fair = engine.run(base.with_overrides(system="fairbfl", name="fairbfl", learning_rate=lr))
+        fedavg = engine.run(base.with_overrides(system="fedavg", name="fedavg", learning_rate=lr))
         rows.append((lr, fair.average_delay(), fedavg.average_delay()))
     return rows
 
 
-def test_fig5a_learning_rate_delay(benchmark, bench_suite):
-    rows = benchmark.pedantic(_sweep, args=(bench_suite,), rounds=1, iterations=1)
+def test_fig5a_learning_rate_delay(benchmark, engine, bench_base):
+    rows = benchmark.pedantic(_sweep, args=(engine, bench_base), rounds=1, iterations=1)
 
     table = ComparisonResult(
         title="Figure 5a -- average delay (s) under different learning rates",
@@ -49,9 +49,13 @@ def test_fig5a_learning_rate_delay(benchmark, bench_suite):
 
 
 @pytest.mark.smoke
-def test_fig5a_lr_delay_smoke(smoke_suite):
+def test_fig5a_lr_delay_smoke(engine, smoke_base):
     """Fast structural pass: the delay is flat across one pair of learning rates."""
-    lo = smoke_suite.run("fedavg", learning_rate=LEARNING_RATES[0])
-    hi = smoke_suite.run("fedavg", learning_rate=LEARNING_RATES[-1])
+    lo = engine.run(
+        smoke_base.with_overrides(system="fedavg", name="fedavg", learning_rate=LEARNING_RATES[0])
+    )
+    hi = engine.run(
+        smoke_base.with_overrides(system="fedavg", name="fedavg", learning_rate=LEARNING_RATES[-1])
+    )
     assert lo.average_delay() > 0 and hi.average_delay() > 0
     assert abs(lo.average_delay() - hi.average_delay()) < 0.5 * lo.average_delay() + 1.0

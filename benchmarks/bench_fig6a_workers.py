@@ -13,34 +13,31 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import emit
-from repro.core.experiment import ExperimentSuite
 from repro.core.results import ComparisonResult
-from repro.fl.client import LocalTrainingConfig
+from repro.runner.scenario import ScenarioSpec
 
 WORKER_COUNTS = (20, 60, 100, 140)
 
 
-def _sweep():
+def _sweep(engine):
     rows = []
     for n in WORKER_COUNTS:
-        suite = ExperimentSuite(
+        base = ScenarioSpec(
             num_clients=n,
             num_samples=max(600, 30 * n),
             num_rounds=6,
-            participation_fraction=0.1,
-            model_name="logreg",
-            local=LocalTrainingConfig(epochs=2, batch_size=10, learning_rate=0.05),
+            participation=0.1,
             seed=0,
         )
-        fair = suite.run("fairbfl")
-        fedavg = suite.run("fedavg")
-        chain = suite.run("blockchain")
+        fair = engine.run(base.with_overrides(system="fairbfl", name="fairbfl"))
+        fedavg = engine.run(base.with_overrides(system="fedavg", name="fedavg"))
+        chain = engine.run(base.with_overrides(system="blockchain", name="blockchain"))
         rows.append((n, fair.average_delay(), chain.average_delay(), fedavg.average_delay()))
     return rows
 
 
-def test_fig6a_delay_vs_workers(benchmark):
-    rows = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_fig6a_delay_vs_workers(benchmark, engine):
+    rows = benchmark.pedantic(_sweep, args=(engine,), rounds=1, iterations=1)
 
     table = ComparisonResult(
         title="Figure 6a -- average delay (s) vs number of workers",
@@ -65,16 +62,12 @@ def test_fig6a_delay_vs_workers(benchmark):
 
 
 @pytest.mark.smoke
-def test_fig6a_workers_smoke():
+def test_fig6a_workers_smoke(engine):
     """Fast structural pass: one population point of the worker sweep."""
-    suite = ExperimentSuite(
-        num_clients=12,
-        num_samples=600,
-        num_rounds=2,
-        participation_fraction=0.25,
-        model_name="logreg",
-        local=LocalTrainingConfig(epochs=1, batch_size=10, learning_rate=0.05),
-        seed=0,
+    base = ScenarioSpec(
+        num_clients=12, num_samples=600, num_rounds=2, participation=0.25, epochs=1, seed=0
     )
-    assert suite.run("fairbfl").average_delay() > 0
-    assert suite.run("blockchain").average_delay() > 0
+    fair = engine.run(base.with_overrides(system="fairbfl", name="fairbfl"))
+    chain = engine.run(base.with_overrides(system="blockchain", name="blockchain"))
+    assert fair.average_delay() > 0
+    assert chain.average_delay() > 0

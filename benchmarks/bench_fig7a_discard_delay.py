@@ -14,17 +14,21 @@ from benchmarks.conftest import emit
 from repro.core.results import ComparisonResult
 
 
-def _run(suite):
-    fair = suite.run("fairbfl")
-    fair_discard = suite.run("fairbfl", strategy="discard", dbscan_eps=0.6)
-    fedavg = suite.run("fedavg")
-    chain = suite.run("blockchain", num_clients=100)
+def _run(engine, base):
+    fair = engine.run(base.with_overrides(system="fairbfl", name="fairbfl"))
+    fair_discard = engine.run(
+        base.with_overrides(system="fairbfl", name="fairbfl", strategy="discard", dbscan_eps=0.6)
+    )
+    fedavg = engine.run(base.with_overrides(system="fedavg", name="fedavg"))
+    chain = engine.run(
+        base.with_overrides(system="blockchain", name="blockchain", num_clients=100)
+    )
     return fair, fair_discard, fedavg, chain
 
 
-def test_fig7a_discard_delay(benchmark, quality_suite):
+def test_fig7a_discard_delay(benchmark, engine, quality_base):
     fair, fair_discard, fedavg, chain = benchmark.pedantic(
-        _run, args=(quality_suite,), rounds=1, iterations=1
+        _run, args=(engine, quality_base), rounds=1, iterations=1
     )
 
     table = ComparisonResult(
@@ -58,8 +62,15 @@ def test_fig7a_discard_delay(benchmark, quality_suite):
 
 
 @pytest.mark.smoke
-def test_fig7a_discard_delay_smoke(smoke_quality_suite):
+def test_fig7a_discard_delay_smoke(engine, smoke_quality_base):
     """Fast structural pass: the discard run completes with well-formed rounds."""
-    fair_discard = smoke_quality_suite.run("fairbfl", strategy="discard", dbscan_eps=0.6)
+    fair_discard = engine.run(
+        smoke_quality_base.with_overrides(
+            system="fairbfl",
+            name="fairbfl",
+            strategy="discard",
+            dbscan_eps=0.6,
+        )
+    )
     assert fair_discard.average_delay() > 0
     assert all(isinstance(r.discarded, list) for r in fair_discard.rounds)

@@ -14,17 +14,21 @@ from benchmarks.conftest import emit
 from repro.core.results import ComparisonResult
 
 
-def _run(suite):
-    fair = suite.run("fairbfl")
-    fair_discard = suite.run("fairbfl", strategy="discard", dbscan_eps=0.6)
-    fedavg = suite.run("fedavg")
-    fedprox = suite.run("fedprox", proximal_mu=0.1, drop_percent=0.02)
+def _run(engine, base):
+    fair = engine.run(base.with_overrides(system="fairbfl", name="fairbfl"))
+    fair_discard = engine.run(
+        base.with_overrides(system="fairbfl", name="fairbfl", strategy="discard", dbscan_eps=0.6)
+    )
+    fedavg = engine.run(base.with_overrides(system="fedavg", name="fedavg"))
+    fedprox = engine.run(
+        base.with_overrides(system="fedprox", name="fedprox", proximal_mu=0.1, drop_percent=0.02)
+    )
     return fair, fair_discard, fedavg, fedprox
 
 
-def test_fig7b_discard_accuracy(benchmark, quality_suite):
+def test_fig7b_discard_accuracy(benchmark, engine, quality_base):
     fair, fair_discard, fedavg, fedprox = benchmark.pedantic(
-        _run, args=(quality_suite,), rounds=1, iterations=1
+        _run, args=(engine, quality_base), rounds=1, iterations=1
     )
 
     table = ComparisonResult(
@@ -58,9 +62,16 @@ def test_fig7b_discard_accuracy(benchmark, quality_suite):
 
 
 @pytest.mark.smoke
-def test_fig7b_discard_accuracy_smoke(smoke_quality_suite):
+def test_fig7b_discard_accuracy_smoke(engine, smoke_quality_base):
     """Fast structural pass: discard and plain runs produce comparable series."""
-    fair = smoke_quality_suite.run("fairbfl")
-    fair_discard = smoke_quality_suite.run("fairbfl", strategy="discard", dbscan_eps=0.6)
+    fair = engine.run(smoke_quality_base.with_overrides(system="fairbfl", name="fairbfl"))
+    fair_discard = engine.run(
+        smoke_quality_base.with_overrides(
+            system="fairbfl",
+            name="fairbfl",
+            strategy="discard",
+            dbscan_eps=0.6,
+        )
+    )
     assert len(fair_discard) == len(fair)
     assert 0.0 <= fair_discard.final_accuracy() <= 1.0

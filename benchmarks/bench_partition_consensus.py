@@ -27,7 +27,7 @@ import time
 import pytest
 
 from benchmarks.conftest import emit, emit_json
-from repro.core.experiment import run_fairbfl
+from repro.core.fairbfl import FairBFLTrainer
 from repro.core.results import ComparisonResult
 from repro.runner.engine import ExperimentEngine
 from repro.runner.scenario import ScenarioSpec
@@ -95,9 +95,9 @@ def _run_partition_experiment():
     spec = _spec()
     engine = ExperimentEngine()
     start = time.perf_counter()
-    trainer, history = run_fairbfl(engine.dataset_for(spec), config=spec.fairbfl_config())
+    with FairBFLTrainer(engine.dataset_for(spec), spec.fairbfl_config()) as trainer:
+        history = trainer.run()
     wall = time.perf_counter() - start
-    trainer.close()
 
     consensus: dict[int, float] = {}
     net = [record.extras["net"] for record in history.rounds]
@@ -202,8 +202,8 @@ def test_partition_consensus_smoke():
     """Structural subset: one short split, delays stretch, heal converges."""
     spec = _spec(num_rounds=5, partition="1-2:0,1")
     engine = ExperimentEngine()
-    trainer, history = run_fairbfl(engine.dataset_for(spec), config=spec.fairbfl_config())
-    trainer.close()
+    with FairBFLTrainer(engine.dataset_for(spec), spec.fairbfl_config()) as trainer:
+        history = trainer.run()
     net = [record.extras["net"] for record in history.rounds]
     assert net[1]["chain_views"] == 2 and net[1]["partition_active"]
     assert net[3]["reorged"] and net[3]["chain_views"] == 1

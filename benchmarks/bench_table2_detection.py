@@ -13,8 +13,9 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.core.config import FairBFLConfig
-from repro.core.experiment import build_federated_dataset, run_fairbfl
+from repro.core.fairbfl import FairBFLTrainer
 from repro.core.results import ComparisonResult
+from repro.datasets.federated import build_federated_dataset
 from repro.fl.client import LocalTrainingConfig
 from repro.incentive.contribution import ContributionConfig
 
@@ -43,7 +44,8 @@ def _run_detection(scheme: str, seed: int = 0):
         contribution=ContributionConfig(eps=0.7),
         seed=seed,
     )
-    trainer, _history = run_fairbfl(dataset, config=config)
+    with FairBFLTrainer(dataset, config) as trainer:
+        trainer.run()
     return trainer.detection_logs(), trainer.average_detection_rate()
 
 
@@ -107,7 +109,8 @@ def test_table2_detection_smoke():
         contribution=ContributionConfig(eps=0.7),
         seed=0,
     )
-    trainer, _ = run_fairbfl(dataset, config=config)
+    with FairBFLTrainer(dataset, config) as trainer:
+        trainer.run()
     logs = trainer.detection_logs()
     assert len(logs) == 2
     assert all(1 <= len(log.attacker_ids) <= 2 for log in logs)

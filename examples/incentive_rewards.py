@@ -20,8 +20,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from repro.core.experiment import build_federated_dataset, run_fairbfl  # noqa: E402
 from repro.core.config import FairBFLConfig  # noqa: E402
+from repro.core.fairbfl import FairBFLTrainer  # noqa: E402
 from repro.datasets.federated import inject_label_noise  # noqa: E402
 from repro.datasets.synthetic_mnist import load_synthetic_mnist  # noqa: E402
 from repro.datasets.federated import FederatedDataset  # noqa: E402
@@ -43,6 +43,7 @@ def build_population(seed: int = 0):
 
 
 def run(strategy: str, dataset, seed: int = 0):
+    """Run FAIR-BFL on ``dataset``; returns (trainer, history)."""
     config = FairBFLConfig(
         num_rounds=12,
         participation_fraction=0.6,
@@ -52,7 +53,9 @@ def run(strategy: str, dataset, seed: int = 0):
         contribution=ContributionConfig(eps=0.6, base_reward=1.0),
         seed=seed,
     )
-    return run_fairbfl(dataset, config=config)
+    with FairBFLTrainer(dataset, config) as trainer:
+        history = trainer.run()
+    return trainer, history
 
 
 def main() -> None:

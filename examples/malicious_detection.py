@@ -18,36 +18,37 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.core.config import FairBFLConfig  # noqa: E402
-from repro.core.experiment import build_federated_dataset, run_fairbfl  # noqa: E402
-from repro.fl.client import LocalTrainingConfig  # noqa: E402
-from repro.incentive.contribution import ContributionConfig  # noqa: E402
+from repro import ExperimentEngine, FairBFLTrainer, ScenarioSpec  # noqa: E402
 
 
-def run_scenario(scheme: str, *, strategy: str = "discard", seed: int = 0):
-    """Run the Table 2 protocol on the given data distribution."""
-    dataset = build_federated_dataset(
-        num_clients=10, num_samples=800, scheme=scheme, seed=seed, noise_std=0.35
-    )
-    config = FairBFLConfig(
+def run_protocol(engine, scheme: str, *, strategy: str = "discard", seed: int = 0):
+    """Run the Table 2 protocol on the given data distribution; returns (trainer, history)."""
+    spec = ScenarioSpec(
+        name=f"table2[{scheme},{strategy}]",
+        num_clients=10,
+        num_samples=800,
+        scheme=scheme,
+        noise_std=0.35,
         num_rounds=10,
-        participation_fraction=1.0,
-        local=LocalTrainingConfig(epochs=2, batch_size=10, learning_rate=0.05),
-        model_name="logreg",
+        participation=1.0,
         strategy=strategy,
-        enable_attacks=True,
+        attacks=True,
         attack_name="sign_flip",
         min_attackers=1,
         max_attackers=3,
-        contribution=ContributionConfig(eps=0.7),
+        dbscan_eps=0.7,
         seed=seed,
     )
-    return run_fairbfl(dataset, config=config)
+    # Built by hand (not `engine.run(spec)`) to read the detection logs.
+    with FairBFLTrainer(engine.dataset_for(spec), spec.fairbfl_config()) as trainer:
+        history = trainer.run()
+    return trainer, history
 
 
 def main() -> None:
+    engine = ExperimentEngine()  # builds each dataset once across the runs below
     for scheme, label in (("dirichlet", "Non-IID"), ("iid", "IID")):
-        trainer, history = run_scenario(scheme)
+        trainer, history = run_protocol(engine, scheme)
         print(f"\n=== {label} data ===")
         print(f"{'round':>5}  {'attacker index':>18}  {'drop index':>18}  {'detection rate':>14}")
         for log in trainer.detection_logs():
@@ -60,8 +61,8 @@ def main() -> None:
 
     # Show what happens when the defence is off: same attack, keep-everything strategy.
     print("\n=== Defence ablation (non-IID) ===")
-    _, defended = run_scenario("dirichlet", strategy="discard")
-    _, undefended = run_scenario("dirichlet", strategy="keep")
+    _, defended = run_protocol(engine, "dirichlet", strategy="discard")
+    _, undefended = run_protocol(engine, "dirichlet", strategy="keep")
     print(f"final accuracy with discard strategy : {defended.final_accuracy():.3f}")
     print(f"final accuracy without discarding    : {undefended.final_accuracy():.3f}")
     print("(the discard strategy removes forged gradients before aggregation)")

@@ -17,27 +17,32 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.core import ExperimentSuite, run_fairbfl  # noqa: E402
+from repro import ExperimentEngine, FairBFLTrainer, ScenarioSpec  # noqa: E402
 from repro.core.results import summarize_history  # noqa: E402
-from repro.fl.client import LocalTrainingConfig  # noqa: E402
 
 
 def main() -> None:
-    # A laptop-scale configuration: 12 clients, Dirichlet non-IID data, 8 rounds.
-    suite = ExperimentSuite(
+    # A laptop-scale scenario: 12 clients, Dirichlet non-IID data, 8 rounds.
+    spec = ScenarioSpec(
+        name="quickstart",
         num_clients=12,
         num_samples=1000,
         num_rounds=8,
-        participation_fraction=0.5,
+        participation=0.5,
         model_name="logreg",
-        local=LocalTrainingConfig(epochs=2, batch_size=10, learning_rate=0.05),
+        epochs=2,
+        batch_size=10,
+        learning_rate=0.05,
         seed=0,
     )
     print("Building federated dataset (12 clients, Dirichlet non-IID)...")
-    dataset = suite.dataset()
+    dataset = ExperimentEngine().dataset_for(spec)
 
+    # The engine's `run(spec)` returns just the history; building the trainer
+    # by hand keeps the chain, miners and reward ledger around to inspect.
     print("Running FAIR-BFL for 8 communication rounds...\n")
-    trainer, history = run_fairbfl(dataset, config=suite.fairbfl_config())
+    with FairBFLTrainer(dataset, spec.fairbfl_config()) as trainer:
+        history = trainer.run()
 
     print(f"{'round':>5}  {'delay (s)':>10}  {'accuracy':>9}  {'participants':>12}  {'winner':>8}")
     for record in history.rounds:

@@ -9,8 +9,6 @@
   (drop Procedures III & V), chain-only (drop Procedures I & IV);
 * :mod:`repro.core.convergence` — the paper's convergence criterion and the
   Theorem 3.1 bound;
-* :mod:`repro.core.experiment` — experiment runner utilities shared by the
-  examples and benchmark harness;
 * :mod:`repro.core.results` — cross-system comparison containers.
 """
 
@@ -22,14 +20,6 @@ from repro.core.convergence import (
 )
 from repro.core.fairbfl import FairBFLTrainer
 from repro.core.flexibility import OperatingMode, procedures_for_mode
-from repro.core.experiment import (
-    ExperimentSuite,
-    build_federated_dataset,
-    run_fairbfl,
-    run_fedavg,
-    run_fedprox,
-    run_vanilla_blockchain,
-)
 from repro.core.results import ComparisonResult, summarize_history
 
 __all__ = [
@@ -40,12 +30,6 @@ __all__ = [
     "FairBFLTrainer",
     "OperatingMode",
     "procedures_for_mode",
-    "ExperimentSuite",
-    "build_federated_dataset",
-    "run_fairbfl",
-    "run_fedavg",
-    "run_fedprox",
-    "run_vanilla_blockchain",
     "ComparisonResult",
     "summarize_history",
 ]

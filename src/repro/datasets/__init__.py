@@ -12,6 +12,7 @@ to what a real MNIST pipeline would use.
 from repro.datasets.federated import (
     ClientDataset,
     FederatedDataset,
+    build_federated_dataset,
     inject_label_noise,
     train_test_split,
 )
@@ -27,6 +28,7 @@ from repro.datasets.synthetic_mnist import SyntheticMNIST, load_synthetic_mnist
 __all__ = [
     "ClientDataset",
     "FederatedDataset",
+    "build_federated_dataset",
     "inject_label_noise",
     "train_test_split",
     "BatchIterator",

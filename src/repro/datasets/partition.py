@@ -95,7 +95,8 @@ def dirichlet_partition(
     Smaller ``alpha`` means more skew (each client dominated by few classes);
     ``alpha -> inf`` approaches IID.  The partition is re-sampled (bounded
     number of retries) until every client has at least
-    ``min_samples_per_client`` samples.
+    ``min_samples_per_client`` samples; :class:`ValueError` if 100 draws
+    cannot, since the inputs (too few samples for the clients) are at fault.
     """
     labels = np.asarray(labels)
     _check_args(labels.shape[0], num_clients)
@@ -122,7 +123,7 @@ def dirichlet_partition(
         ]
         if all(p.shape[0] >= min_samples_per_client for p in partitions):
             return partitions
-    raise RuntimeError(
+    raise ValueError(
         "dirichlet_partition failed to produce a partition where every client "
         f"has >= {min_samples_per_client} samples after 100 attempts; "
         "increase alpha or the dataset size"

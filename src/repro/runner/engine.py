@@ -31,9 +31,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.experiment import build_federated_dataset
 from repro.core.results import ComparisonResult, summarize_history
-from repro.datasets.federated import FederatedDataset
+from repro.datasets.federated import FederatedDataset, build_federated_dataset
 from repro.fl.history import TrainingHistory
 from repro.runner.checkpoint import CheckpointError
 from repro.runner.scenario import ScenarioError, ScenarioSpec
@@ -42,7 +41,7 @@ from repro.systems.registry import RunResult, get_system
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.store.runstore import RunStore
 
-__all__ = ["RunCancelled", "ScenarioResult", "ExperimentEngine", "run_scenario"]
+__all__ = ["RunCancelled", "ScenarioResult", "ExperimentEngine"]
 
 
 class RunCancelled(RuntimeError):
@@ -133,7 +132,12 @@ class ExperimentEngine:
             self.cache_hits += hits
 
     def dataset_for(self, spec: ScenarioSpec) -> FederatedDataset:
-        """Build (or fetch the memoised) federated dataset for ``spec``."""
+        """Build (or fetch the memoised) federated dataset for ``spec``.
+
+        A dataset that cannot be built from the spec's fields (e.g. a
+        Dirichlet split with too few samples for its clients) raises
+        :class:`ScenarioError` naming them.
+        """
         key = spec.dataset_key()
         if not self.cache_datasets:
             return self._build_dataset(spec)
@@ -149,15 +153,22 @@ class ExperimentEngine:
 
     @staticmethod
     def _build_dataset(spec: ScenarioSpec) -> FederatedDataset:
-        return build_federated_dataset(
-            num_clients=spec.num_clients,
-            num_samples=spec.num_samples,
-            scheme=spec.scheme,
-            seed=spec.seed,
-            noise_std=spec.noise_std,
-            low_quality_fraction=spec.low_quality_fraction,
-            distinct_shards=spec.distinct_shards,
-        )
+        try:
+            return build_federated_dataset(
+                num_clients=spec.num_clients,
+                num_samples=spec.num_samples,
+                scheme=spec.scheme,
+                seed=spec.seed,
+                noise_std=spec.noise_std,
+                low_quality_fraction=spec.low_quality_fraction,
+                distinct_shards=spec.distinct_shards,
+            )
+        except ValueError as exc:
+            raise ScenarioError(
+                f"cannot build the dataset of scenario {spec.name!r} "
+                f"(num_clients={spec.num_clients}, num_samples={spec.num_samples}, "
+                f"scheme={spec.scheme!r}): {exc}"
+            ) from exc
 
     # ------------------------------------------------------------------
     def run_result(self, spec: ScenarioSpec) -> RunResult:
@@ -381,8 +392,3 @@ class ExperimentEngine:
                 summary["final_accuracy"],
             )
         return table, results
-
-
-def run_scenario(spec: ScenarioSpec) -> TrainingHistory:
-    """Convenience wrapper: execute one scenario with a throwaway engine."""
-    return ExperimentEngine().run(spec)

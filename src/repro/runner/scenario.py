@@ -47,11 +47,9 @@ from repro.systems.registry import (
     SystemRegistryError,
     check_spec_axes,
     get_system,
-    system_names,
 )
 
 __all__ = [
-    "SCENARIO_SYSTEMS",
     "ScenarioError",
     "ScenarioSpec",
     "ScenarioMatrix",
@@ -62,14 +60,6 @@ __all__ = [
 _PARTITION_SCHEMES = ("iid", "shard", "dirichlet")
 
 
-def __getattr__(name: str):
-    # Kept for backwards compatibility: the runnable systems used to be a
-    # hardcoded tuple here; they are now whatever the registry holds.
-    if name == "SCENARIO_SYSTEMS":
-        return system_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class ScenarioError(ValueError):
     """A scenario file or mapping is malformed or fails validation."""
 
@@ -78,10 +68,13 @@ class ScenarioError(ValueError):
 class ScenarioSpec:
     """One fully-specified experiment (see ``docs/scenarios.md``).
 
-    Field defaults deliberately match the laptop-scale defaults of
-    :class:`repro.core.experiment.ExperimentSuite`, so a scenario that sets
-    nothing but ``system`` reproduces the benchmark harness's baseline
-    workload.
+    Field defaults are the laptop-scale workload of the benchmark harness's
+    ``bench_base`` fixture (20 clients, 1500 samples, 10 rounds), so a
+    scenario that sets nothing but ``system`` reproduces its baseline run.
+    Derive variants with :meth:`with_overrides` and execute them with
+    :meth:`repro.runner.engine.ExperimentEngine.run` (or :func:`repro.api.run`);
+    a caller that needs the trainer object itself builds it from
+    :meth:`fairbfl_config` and ``ExperimentEngine.dataset_for(spec)``.
     """
 
     # -- identity -------------------------------------------------------

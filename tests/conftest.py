@@ -18,9 +18,11 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.core.experiment import ExperimentSuite, build_federated_dataset  # noqa: E402
+from repro.datasets.federated import build_federated_dataset  # noqa: E402
 from repro.datasets.synthetic_mnist import load_synthetic_mnist  # noqa: E402
 from repro.nn.models import MLPClassifier  # noqa: E402
+from repro.runner.engine import ExperimentEngine  # noqa: E402
+from repro.runner.scenario import ScenarioSpec  # noqa: E402
 from repro.utils.rng import new_rng  # noqa: E402
 
 
@@ -60,13 +62,24 @@ def tiny_federated():
 
 
 @pytest.fixture(scope="session")
-def tiny_suite() -> ExperimentSuite:
-    """A laptop-scale experiment suite shared across integration tests."""
-    return ExperimentSuite(
+def engine() -> ExperimentEngine:
+    """One engine for the session, so each dataset shape is built once."""
+    return ExperimentEngine()
+
+
+@pytest.fixture(scope="session")
+def tiny_spec() -> ScenarioSpec:
+    """A laptop-scale base scenario shared across integration tests.
+
+    Derive variants with ``tiny_spec.with_overrides(system=..., ...)`` and
+    run them with the session ``engine``.
+    """
+    return ScenarioSpec(
+        name="tiny",
         num_clients=6,
         num_samples=400,
         num_rounds=2,
-        participation_fraction=0.5,
+        participation=0.5,
         seed=7,
     )
 

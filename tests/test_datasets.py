@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.experiment import build_federated_dataset
 from repro.datasets.federated import (
     ClientDataset,
     FederatedDataset,
+    build_federated_dataset,
     inject_label_noise,
     train_test_split,
 )
@@ -155,6 +155,15 @@ class TestPartitioning:
             labels, 10, new_rng(2, "dir"), alpha=0.3, min_samples_per_client=2
         )
         assert all(p.shape[0] >= 2 for p in parts)
+
+    def test_unreachable_minimum_is_a_value_error(self):
+        # 12 clients cannot all get 2 of 30 samples under a skewed split:
+        # the inputs are at fault, so it is a ValueError, not a RuntimeError.
+        labels = self._labels(30)
+        with pytest.raises(ValueError, match="every client has >= 2 samples"):
+            dirichlet_partition(
+                labels, 12, new_rng(0, "dir"), alpha=0.5, min_samples_per_client=2
+            )
 
     def test_partition_dataset_dispatch(self, tiny_dataset):
         for scheme in ("iid", "shard", "dirichlet"):

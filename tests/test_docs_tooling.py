@@ -6,8 +6,9 @@ Two guards that keep the docs truthful as the code grows:
   (``docs/cli_help.txt``) — regenerate with
   ``REGEN_SNAPSHOTS=1 PYTHONPATH=src python -m pytest tests/test_docs_tooling.py``;
 * ``tools/check_docs.py`` must pass: every public module has a docstring,
-  README's benchmark map matches the ``benchmarks/`` directory, and
-  ``docs/scenarios.md`` documents every ``ScenarioSpec`` field.
+  README's benchmark map matches the ``benchmarks/`` directory,
+  ``docs/scenarios.md`` documents every ``ScenarioSpec`` field, and every
+  ``from repro... import`` in a python block of the docs resolves.
 """
 
 from __future__ import annotations
@@ -125,6 +126,39 @@ class TestDocsFreshness:
         monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
         problems = check_docs.check_benchmark_workloads()
         assert len(problems) == 1 and "'bfl-giant'" in problems[0]
+
+    def test_doc_imports_resolve(self, tmp_path, monkeypatch):
+        import importlib.util
+
+        spec = importlib.util.spec_from_file_location(
+            "check_docs", REPO_ROOT / "tools" / "check_docs.py"
+        )
+        check_docs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check_docs)
+        assert check_docs.check_doc_imports() == []
+
+        # A removed helper cited in a python block is reported with its
+        # file and line; prose and non-python blocks are not checked.
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "README.md").write_text(
+            "Prose: from repro import nothing_here\n\n"
+            "```bash\nfrom repro import not_python\n```\n\n"
+            "```python\nfrom repro import api, ScenarioSpec as Spec\n```\n"
+        )
+        (tmp_path / "docs" / "guide.md").write_text(
+            "```python\n"
+            "from repro.runner.engine import (\n"
+            "    ExperimentEngine,  # still here\n"
+            "    run_removed_helper,\n"
+            ")\n"
+            "from repro.datasets import federated\n"
+            "```\n"
+        )
+        monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+        problems = check_docs.check_doc_imports()
+        assert len(problems) == 1, problems
+        assert problems[0].startswith("docs/guide.md:2:")
+        assert "run_removed_helper" in problems[0]
 
     def test_readme_benchmark_map_is_fresh(self):
         import re

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ExperimentSuite, run_fairbfl
+from repro.core import FairBFLTrainer
 from repro.incentive.fairness import (
     fairness_report,
     gini_coefficient,
@@ -83,11 +83,11 @@ class TestFairnessReport:
         with pytest.raises(ValueError):
             fairness_report({})
 
-    def test_report_on_real_run(self, tiny_suite):
+    def test_report_on_real_run(self, engine, tiny_spec):
         """The incentive mechanism spreads rewards across clients rather than to one winner."""
-        trainer, history = run_fairbfl(
-            tiny_suite.dataset(), config=tiny_suite.fairbfl_config(num_rounds=3)
-        )
+        spec = tiny_spec.with_overrides(num_rounds=3)
+        with FairBFLTrainer(engine.dataset_for(spec), spec.fairbfl_config()) as trainer:
+            trainer.run()
         totals = trainer.reward_ledger.totals
         report = fairness_report(totals)
         assert report["total_reward"] > 0

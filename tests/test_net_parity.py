@@ -22,9 +22,9 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import FairBFLConfig
-from repro.core.experiment import build_federated_dataset
 from repro.core.fairbfl import FairBFLTrainer
-from repro.runner.engine import run_scenario
+from repro.datasets.federated import build_federated_dataset
+from repro.runner.engine import ExperimentEngine
 from repro.runner.scenario import ScenarioSpec
 from repro.store.records import history_to_payload
 
@@ -67,7 +67,7 @@ class TestGoldenReplay:
         # replay on the legacy path.
         assert spec.topology == "global"
         assert (spec.partition, spec.churn) == ("none", "none")
-        history = run_scenario(spec)
+        history = ExperimentEngine().run(spec)
         replayed = json.loads(json.dumps(history_to_payload(history), sort_keys=True))
         assert replayed == stored["history"]
 

@@ -14,8 +14,8 @@ import json
 import pytest
 
 from repro.core.config import FairBFLConfig
-from repro.core.experiment import build_federated_dataset
 from repro.core.fairbfl import FairBFLTrainer
+from repro.datasets.federated import build_federated_dataset
 from repro.store.records import history_to_payload
 
 pytestmark = pytest.mark.net

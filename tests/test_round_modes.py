@@ -19,7 +19,8 @@ import pytest
 
 from repro.cli import main
 from repro.core.config import FairBFLConfig
-from repro.core.experiment import build_federated_dataset, run_fairbfl
+from repro.core.fairbfl import FairBFLTrainer
+from repro.datasets.federated import build_federated_dataset
 from repro.fl.aggregation import AggregationError, merge_stale_updates, staleness_weights
 from repro.fl.client import LocalTrainingConfig
 from repro.runner.scenario import ScenarioError, ScenarioSpec
@@ -146,8 +147,8 @@ def _config(mode, **overrides) -> FairBFLConfig:
 
 class TestTrainerRoundModes:
     def test_semi_sync_drops_stragglers_from_aggregation(self, small_dataset):
-        trainer, history = run_fairbfl(small_dataset, config=_config("semi_sync"))
-        trainer.close()
+        with FairBFLTrainer(small_dataset, _config("semi_sync")) as trainer:
+            history = trainer.run()
         stragglers = [r.extras["stragglers"] for r in history.rounds]
         assert any(stragglers), "heavy jitter at a 3s deadline must produce stragglers"
         for record in history.rounds:
@@ -158,8 +159,8 @@ class TestTrainerRoundModes:
                 assert cid not in record.rewards
 
     def test_async_applies_stale_updates_next_round(self, small_dataset):
-        trainer, history = run_fairbfl(small_dataset, config=_config("async", async_quorum=0.5))
-        trainer.close()
+        with FairBFLTrainer(small_dataset, _config("async", async_quorum=0.5)) as trainer:
+            history = trainer.run()
         stale = [r.extras["stale_applied"] for r in history.rounds]
         stragglers = [r.extras["stragglers"] for r in history.rounds]
         assert any(stragglers)
@@ -178,7 +179,8 @@ class TestTrainerRoundModes:
         """
         from repro.core.procedures import RoundContext
 
-        trainer, _history = run_fairbfl(small_dataset, config=_config("async", num_rounds=1))
+        with FairBFLTrainer(small_dataset, _config("async", num_rounds=1)) as trainer:
+            trainer.run()
         previous = np.zeros(4)
         fresh = np.array([1.0, 1.0, 0.0, 0.0])  # consensus direction (1,1,0,0)
         aligned = previous + np.array([2.0, 1.5, 0.0, 0.0])
@@ -188,7 +190,6 @@ class TestTrainerRoundModes:
         ctx.new_global_parameters = fresh.copy()
         ctx.gradient_client_ids = [0, 1, 2]
         trainer._apply_stale_updates(ctx, 1)
-        trainer.close()
         assert ctx.stale_applied == 1
         assert ctx.stale_rejected == 1
         # Only the aligned vector moved the global; the forgery left no trace:
@@ -198,10 +199,10 @@ class TestTrainerRoundModes:
         np.testing.assert_allclose(ctx.new_global_parameters, expected)
 
     def test_sync_round_mode_matches_default_history(self, small_dataset):
-        _t1, h_default = run_fairbfl(small_dataset, config=_config("sync"))
-        _t1.close()
-        _t2, h_explicit = run_fairbfl(small_dataset, config=_config("sync"))
-        _t2.close()
+        with FairBFLTrainer(small_dataset, _config("sync")) as trainer:
+            h_default = trainer.run()
+        with FairBFLTrainer(small_dataset, _config("sync")) as trainer:
+            h_explicit = trainer.run()
         np.testing.assert_allclose(h_default.delays, h_explicit.delays)
         np.testing.assert_allclose(h_default.accuracies, h_explicit.accuracies)
 
@@ -209,10 +210,9 @@ class TestTrainerRoundModes:
         digests = {}
         delays = {}
         for backend in ("serial", "thread"):
-            trainer, history = run_fairbfl(
-                small_dataset, config=_config("semi_sync", executor_backend=backend)
-            )
-            trainer.close()
+            config = _config("semi_sync", executor_backend=backend)
+            with FairBFLTrainer(small_dataset, config) as trainer:
+                history = trainer.run()
             digests[backend] = [r.extras["event_trace_digest"] for r in history.rounds]
             delays[backend] = list(history.delays)
         assert digests["serial"] == digests["thread"]
@@ -220,8 +220,8 @@ class TestTrainerRoundModes:
         assert all(d is not None for d in digests["serial"])
 
     def test_round_records_expose_simulation_extras(self, small_dataset):
-        trainer, history = run_fairbfl(small_dataset, config=_config("sync"))
-        trainer.close()
+        with FairBFLTrainer(small_dataset, _config("sync")) as trainer:
+            history = trainer.run()
         for record in history.rounds:
             assert record.extras["sim_events"] > 0
             assert isinstance(record.extras["event_trace_digest"], str)

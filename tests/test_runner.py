@@ -7,9 +7,10 @@ The central claims under test:
 * **scenario layer** — JSON/TOML documents expand to validated specs, matrix
   grids multiply correctly, and malformed inputs fail with `ScenarioError`
   naming the problem;
-* **engine equivalence** — `ExperimentSuite.run()` (the path every benchmark
-  now drives through) reproduces the legacy hand-wired `run_fairbfl(...)`
-  histories exactly.
+* **engine equivalence** — `ExperimentEngine.run(spec)` (the one entry path
+  every test, bench, example and the CLI drive through) reproduces a
+  `FairBFLTrainer` hand-built from `spec.fairbfl_config()` and the engine's
+  dataset exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.core.config import FairBFLConfig
-from repro.core.experiment import run_fairbfl
 from repro.core.fairbfl import FairBFLTrainer
 from repro.fl.aggregation import AggregationError, aggregate_client_updates, simple_average
 from repro.fl.client import ClientUpdate, LocalTrainingConfig
@@ -107,10 +107,10 @@ class TestBackendParity:
         assert finals["serial"].tobytes() == finals["thread"].tobytes()
         assert finals["serial"].tobytes() == finals["process"].tobytes()
 
-    def test_fedavg_backend_parity(self, tiny_suite):
-        engine = ExperimentEngine()
-        serial = engine.run(tiny_suite.spec("fedavg", num_rounds=2))
-        threaded = engine.run(tiny_suite.spec("fedavg", num_rounds=2, backend="thread"))
+    def test_fedavg_backend_parity(self, engine, tiny_spec):
+        fedavg = tiny_spec.with_overrides(system="fedavg", name="fedavg", num_rounds=2)
+        serial = engine.run(fedavg)
+        threaded = engine.run(fedavg.with_overrides(backend="thread"))
         assert _fingerprint(serial) == _fingerprint(threaded)
 
 
@@ -248,30 +248,32 @@ class TestExperimentEngine:
         c = a.with_overrides(num_clients=5)
         assert engine.dataset_for(c) is not engine.dataset_for(a)
 
+    def test_unbuildable_dataset_is_a_scenario_error(self):
+        spec = ScenarioSpec(num_clients=12, num_samples=30)
+        expected = "num_clients=12, num_samples=30, scheme='dirichlet'"
+        with pytest.raises(ScenarioError, match=expected):
+            ExperimentEngine().dataset_for(spec)
+
     def test_blockchain_needs_no_dataset(self):
         engine = ExperimentEngine()
         hist = engine.run(ScenarioSpec(system="blockchain", num_clients=8, num_rounds=2))
         assert len(hist) == 2
         assert engine._dataset_cache == {}
 
-    def test_history_carries_scenario_name(self, tiny_suite):
-        hist = tiny_suite.run("fairbfl", name="custom-label", num_rounds=1)
+    def test_history_carries_scenario_name(self, engine, tiny_spec):
+        hist = engine.run(tiny_spec.with_overrides(name="custom-label", num_rounds=1))
         assert hist.label == "custom-label"
 
-    def test_suite_run_matches_legacy_wiring(self, tiny_suite):
-        """The engine path reproduces the hand-wired seed behaviour exactly."""
-        legacy_trainer, legacy = run_fairbfl(
-            tiny_suite.dataset(), config=tiny_suite.fairbfl_config()
-        )
-        legacy_trainer.close()
-        engine_hist = tiny_suite.run("fairbfl")
-        assert _fingerprint(engine_hist) == _fingerprint(legacy)
+    def test_engine_run_matches_hand_built_trainer(self, engine, tiny_spec):
+        """The engine path reproduces a trainer hand-built from the same spec."""
+        with FairBFLTrainer(engine.dataset_for(tiny_spec), tiny_spec.fairbfl_config()) as trainer:
+            hand_built = trainer.run()
+        assert _fingerprint(engine.run(tiny_spec)) == _fingerprint(hand_built)
 
-    def test_sweep_table_shape(self, tiny_suite):
-        engine = tiny_suite.engine
+    def test_sweep_table_shape(self, engine, tiny_spec):
         specs = [
-            tiny_suite.spec("fairbfl", name="a", num_rounds=1),
-            tiny_suite.spec("blockchain", name="b", num_rounds=1),
+            tiny_spec.with_overrides(name="a", num_rounds=1),
+            tiny_spec.with_overrides(system="blockchain", name="b", num_rounds=1),
         ]
         table, results = engine.sweep_table(specs, title="t")
         assert [row[0] for row in table.rows] == ["a", "b"]

@@ -181,7 +181,7 @@ class TestCLI:
         assert "== blockchain ==" in out
         assert "avg delay" in out
 
-    def test_run_fairbfl_with_export(self, tmp_path, capsys):
+    def test_run_command_fairbfl_with_export(self, tmp_path, capsys):
         export = tmp_path / "series.csv"
         code = main(
             [
@@ -199,10 +199,19 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "== fairbfl ==" in out
 
-    def test_run_fedavg(self, capsys):
+    def test_run_command_fedavg(self, capsys):
         code = main(["run", "fedavg", "--clients", "6", "--rounds", "2", "--samples", "400"])
         assert code == 0
         assert "fedavg" in capsys.readouterr().out
+
+    def test_run_command_unbuildable_split_exits_2(self, capsys):
+        code = main(["run", "fairbfl", "--clients", "12", "--samples", "30", "--rounds", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        for named in ("num_clients=12", "num_samples=30", "scheme='dirichlet'"):
+            assert named in err
 
     def test_compare_command(self, tmp_path, capsys):
         export = tmp_path / "cmp.csv"

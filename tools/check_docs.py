@@ -41,7 +41,10 @@ Fails (exit code 1) when the documentation has drifted from the code:
     threat guide;
 13. a workload ``name`` declared in ``BENCHMARK.json`` is missing from
     ``docs/benchmarks.md`` — every workload of the performance benchmark
-    must be described there.
+    must be described there;
+14. a ``from repro... import name`` line in a python code block of
+    ``README.md`` or ``docs/*.md`` does not resolve — a doc cannot keep
+    citing a helper the code no longer has.
 
 Run from the repository root:
 
@@ -53,6 +56,7 @@ Run from the repository root:
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import re
 import sys
@@ -370,6 +374,52 @@ def check_benchmark_workloads() -> list[str]:
     ]
 
 
+_PYTHON_BLOCK = re.compile(r"^```(?:python|py)[ \t]*\n(.*?)^```", re.MULTILINE | re.DOTALL)
+_REPRO_IMPORT = re.compile(
+    r"^[ \t]*(?:>>>[ \t]*)?from[ \t]+(repro(?:\.\w+)*)[ \t]+import[ \t]+(\([^)]*\)|[^\n]+)",
+    re.MULTILINE,
+)
+
+
+def _resolves(module_name: str, name: str) -> bool:
+    try:
+        module = importlib.import_module(module_name)
+    except ImportError:
+        return False
+    if hasattr(module, name):
+        return True
+    try:
+        importlib.import_module(f"{module_name}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def check_doc_imports() -> list[str]:
+    """Every ``from repro... import name`` in a python block of the docs resolves."""
+    _ensure_importable()
+    problems = []
+    for path in [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]:
+        if not path.exists():
+            continue
+        text = path.read_text(encoding="utf-8")
+        rel = path.relative_to(REPO_ROOT)
+        for block in _PYTHON_BLOCK.finditer(text):
+            for match in _REPRO_IMPORT.finditer(block.group(1)):
+                line = text.count("\n", 0, block.start(1) + match.start()) + 1
+                names = " ".join(
+                    part.split("#")[0] for part in match.group(2).splitlines()
+                ).strip("() \t")
+                for entry in names.split(","):
+                    name = entry.split(" as ")[0].strip()
+                    if name and not _resolves(match.group(1), name):
+                        problems.append(
+                            f"{rel}:{line}: `from {match.group(1)} import {name}` "
+                            "does not resolve"
+                        )
+    return problems
+
+
 def main() -> int:
     problems = (
         check_module_docstrings()
@@ -385,6 +435,7 @@ def main() -> int:
         + check_serve_endpoint_docs()
         + check_net_axis_coverage()
         + check_benchmark_workloads()
+        + check_doc_imports()
     )
     for problem in problems:
         print(f"docs-check: {problem}", file=sys.stderr)
